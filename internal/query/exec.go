@@ -84,8 +84,8 @@ type execShared struct {
 	tempOrd atomic.Uint64
 
 	// killed is the statement's cancellation token: set (from any
-	// goroutine) by Kill, observed by every worker fork at axis-step and
-	// FLWOR iteration boundaries via checkKilled.
+	// goroutine) by Kill, observed by every worker fork at axis-step,
+	// FLWOR iteration and parallel fan-out unit boundaries via checkKilled.
 	killed atomic.Bool
 
 	poolOnce sync.Once
@@ -121,7 +121,8 @@ func (ctx *ExecCtx) Killed() bool { return ctx.shared().killed.Load() }
 
 // checkKilled is the executor's cancellation point: a single atomic load on
 // the hot path, returning ErrKilled once Kill has been called. Placed at
-// axis-step stream boundaries and FLWOR iteration boundaries so even a
+// axis-step stream boundaries, FLWOR iteration boundaries and each unit
+// fanOut dispatches (worker and drained-pool loops alike) so even a
 // statement in one long storage scan notices promptly.
 func (ctx *ExecCtx) checkKilled() error {
 	if ctx.sh != nil && ctx.sh.killed.Load() {

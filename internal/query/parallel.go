@@ -129,7 +129,11 @@ func (ctx *ExecCtx) noteFallback() {
 // Work items are dispensed from a shared counter (dynamic load balancing),
 // every worker runs on its own context fork with a "worker N" trace span
 // under the current span, and the current span is annotated with
-// parallelism=N. Returns the number of goroutines that worked (1 = serial).
+// parallelism=N. Each claimed unit is a cancellation point: both the
+// worker loop and the drained-pool serial loop poll checkKilled before
+// running it, and a worker that sees the kill stops the others through the
+// first-error path. Returns the number of goroutines that worked
+// (1 = serial).
 func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, error) {
 	pool := ctx.pool()
 	want := n - 1
@@ -144,6 +148,9 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 			ctx.noteFallback()
 		}
 		for i := 0; i < n; i++ {
+			if err := ctx.checkKilled(); err != nil {
+				return 1, err
+			}
 			if err := fn(i, ctx); err != nil {
 				return 1, err
 			}
@@ -184,7 +191,11 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 			if i >= n {
 				break
 			}
-			if err := fn(i, wctx); err != nil {
+			err := wctx.checkKilled()
+			if err == nil {
+				err = fn(i, wctx)
+			}
+			if err != nil {
 				errMu.Lock()
 				if first == nil {
 					first = err

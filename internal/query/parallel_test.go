@@ -1,9 +1,11 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sedna/internal/core"
@@ -223,6 +225,47 @@ func TestFanOutOrderAndErrors(t *testing.T) {
 		return nil
 	}); err != boom {
 		t.Fatalf("fanOut error: got %v, want boom", err)
+	}
+}
+
+// TestFanOutKilled pins that both fanOut dispatch loops are cancellation
+// points: a killed statement's fan-out returns ErrKilled without running a
+// unit, whether workers joined (multi-worker branch) or the pool was already
+// drained by an enclosing section (serial branch). TestKillBeforeExecute
+// reaches only the first, and only when GOMAXPROCS >= 2.
+func TestFanOutKilled(t *testing.T) {
+	ctx := &ExecCtx{Workers: 4}
+	ctx.Kill()
+	const n = 64
+	var ran atomic.Int64
+	count := func(i int, wctx *ExecCtx) error {
+		ran.Add(1)
+		return nil
+	}
+
+	workers, err := ctx.fanOut(n, count)
+	if !errors.Is(err, ErrKilled) {
+		t.Fatalf("multi-worker fanOut: got %v, want ErrKilled", err)
+	}
+	if workers != 4 {
+		t.Fatalf("multi-worker fanOut used %d workers, want 4", workers)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Fatalf("multi-worker fanOut ran %d units after Kill", got)
+	}
+
+	pool := ctx.pool()
+	taken := pool.tryAcquire(pool.size - 1)
+	defer pool.release(taken)
+	workers, err = ctx.fanOut(n, count)
+	if !errors.Is(err, ErrKilled) {
+		t.Fatalf("drained-pool fanOut: got %v, want ErrKilled", err)
+	}
+	if workers != 1 {
+		t.Fatalf("drained-pool fanOut used %d workers, want 1", workers)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Fatalf("drained-pool fanOut ran %d units after Kill", got)
 	}
 }
 

@@ -23,6 +23,11 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== go test -cpu 1,2,4 (core-count matrix on the parallel-path packages) =="
+# A 1-core host runs every query serially; force GOMAXPROCS 1, 2 and 4 so
+# faults in the parallel fan-out show on any host.
+go test -cpu 1,2,4 ./internal/query ./internal/core ./internal/server
+
 echo "== go test -race (concurrency-sensitive packages) =="
 go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/wal \
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
